@@ -62,10 +62,11 @@ object CoverageSearch {
   }
 
   /** Greedy coverage search (Algorithm 3). Stops early when no unpicked
-    * connected dataset remains.
+    * connected dataset remains; an empty query connects to nothing.
     */
   def search(index: DitsLocal, queryCells: Array[Long], delta: Double, k: Int): CoverageResult = {
     require(k > 0, "k must be positive")
+    if (queryCells.isEmpty) return CoverageResult(Seq.empty, 0)
     var covered = CellSet.of(queryCells)
     var mergedRect = CellSet.mbr(covered)
     val picked = mutable.ArrayBuffer.empty[Int]

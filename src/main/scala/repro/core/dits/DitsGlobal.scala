@@ -51,8 +51,7 @@ final class DitsGlobal private (root: DitsGlobal.GNode) extends Serializable {
     def slack(s: SourceSummary): Double = (delta + 1) * math.max(s.grid.cellW, s.grid.cellH)
     def go(n: DitsGlobal.GNode): Unit = {
       // Node-level prune with the loosest slack below this node.
-      val maxSlack = n.maxSlack(delta)
-      if (n.rect.minDist(queryRect) <= maxSlack) n match {
+      if (n.rect.minDist(queryRect) <= (delta + 1) * n.maxCell) n match {
         case DitsGlobal.GLeaf(_, ss) =>
           out ++= ss.filter(s => s.lonLatRect.minDist(queryRect) <= slack(s))
         case DitsGlobal.GInternal(_, l, r) => go(l); go(r)
@@ -66,15 +65,17 @@ final class DitsGlobal private (root: DitsGlobal.GNode) extends Serializable {
 object DitsGlobal {
   sealed trait GNode extends Serializable {
     def rect: MBR
-    def summaries: Seq[SourceSummary] = this match {
-      case GLeaf(_, ss)      => ss
-      case GInternal(_, l, r) => l.summaries ++ r.summaries
-    }
-    def maxSlack(delta: Double): Double =
-      summaries.map(s => (delta + 1) * math.max(s.grid.cellW, s.grid.cellH)).max
+    /** Largest cell side (lon/lat) of any source below this node, so the
+      * loosest δ slack below it is `(δ + 1) · maxCell`.
+      */
+    def maxCell: Double
   }
-  final case class GLeaf(rect: MBR, ss: Seq[SourceSummary]) extends GNode
-  final case class GInternal(rect: MBR, left: GNode, right: GNode) extends GNode
+  final case class GLeaf(rect: MBR, ss: Seq[SourceSummary]) extends GNode {
+    val maxCell: Double = ss.map(s => math.max(s.grid.cellW, s.grid.cellH)).max
+  }
+  final case class GInternal(rect: MBR, left: GNode, right: GNode) extends GNode {
+    val maxCell: Double = math.max(left.maxCell, right.maxCell)
+  }
 
   /** Build the global index with leaf capacity f (top-down median split,
     * mirroring Algorithm 1).

@@ -11,14 +11,21 @@ import scala.collection.mutable
   * dataset nodes remain, producing a leaf with an inverted index.
   *
   * The structure is mutable (bidirectional parent pointers) to support the
-  * Appendix C insert/update/delete operations without a full rebuild.
+  * Appendix C insert/update/delete operations without a full rebuild. An
+  * id → node map finds a dataset's node, and through its parent pointer its
+  * leaf, in O(1); splits and collapses move nodes between leaves but keep
+  * the nodes themselves, so the map stays current.
   */
 final class DitsLocal private (var root: TreeNode, val capacity: Int)
     extends Serializable {
 
+  private val byId: mutable.HashMap[Int, DatasetNode] =
+    mutable.HashMap.from(root.datasets.map(d => d.id -> d))
+  require(byId.size == root.size, "dataset ids must be unique")
+
   /** All dataset nodes currently indexed. */
   def datasets: Iterator[DatasetNode] = root.datasets
-  def size: Int = root.size
+  def size: Int = byId.size
 
   /** Number of tree nodes (internal + leaf) — the Fig. 8 memory proxy. */
   def nodeCount: Int = {
@@ -32,26 +39,29 @@ final class DitsLocal private (var root: TreeNode, val capacity: Int)
   /** Total posting-list entries across all leaves. */
   def postingEntries: Long = {
     def go(n: TreeNode): Long = n match {
-      case l: Leaf     => l.inv.valuesIterator.map(_.size.toLong).sum
+      case l: Leaf     => l.postings.length.toLong
       case i: Internal => go(i.left) + go(i.right)
     }
     go(root)
   }
 
   /** Appendix C insert: descend to the leaf whose pivot is nearest, add
-    * the dataset node, split the leaf if it overflows, and refresh MBRs up
-    * to the root.
+    * the dataset node, split the leaf if it overflows (else reindex it), and
+    * refresh MBRs up to the root. An id already indexed is rejected.
     */
   def insert(d: DatasetNode): Unit = {
+    if (byId.contains(d.id))
+      throw new IllegalArgumentException(s"dataset ${d.id} already indexed")
+    byId(d.id) = d
     var n = root
     while (!n.isLeaf) {
       val i = n.asInstanceOf[Internal]
       n = if (d.pivot.dist(i.left.pivot) <= d.pivot.dist(i.right.pivot)) i.left else i.right
     }
     val leaf = n.asInstanceOf[Leaf]
-    leaf.add(d)
+    leaf.attach(d)
     leaf.rect = leaf.rect.union(d.rect)
-    if (leaf.children.length > capacity) splitLeaf(leaf)
+    if (leaf.children.length > capacity) splitLeaf(leaf) else leaf.reindex()
     refreshUp(leaf.parent)
   }
 
@@ -64,10 +74,11 @@ final class DitsLocal private (var root: TreeNode, val capacity: Int)
     * ancestor MBRs.
     */
   def delete(id: Int): Unit = {
-    val d = datasets.find(_.id == id)
+    val d = byId.remove(id)
       .getOrElse(throw new NoSuchElementException(s"dataset $id not indexed"))
     val leaf = d.parent
-    leaf.remove(d)
+    leaf.detach(d)
+    leaf.reindex()
     if (leaf.children.nonEmpty) {
       leaf.rect = leaf.children.map(_.rect).reduce(_ union _)
       refreshUp(leaf.parent)
@@ -122,7 +133,8 @@ object DitsLocal {
     val rect = nodes.map(_.rect).reduce(_ union _)
     if (nodes.length <= capacity) {
       val leaf = new Leaf(rect, capacity)
-      nodes.foreach(leaf.add)
+      nodes.foreach(leaf.attach)
+      leaf.reindex()
       leaf
     } else {
       // Widest dimension of the enclosing MBR (Alg. 1 lines 11–14).

@@ -53,39 +53,77 @@ final class Internal(var rect: MBR, var left: TreeNode, var right: TreeNode)
   def isLeaf = false
 }
 
-/** Leaf node: child dataset nodes plus the inverted index `inv` mapping
-  * each cell ID to the child dataset IDs containing it (Def. 14). Posting
-  * lists drive the Lemma 2/3 intersection bounds and exact verification.
+/** Leaf node: up to f child dataset nodes plus their inverted index
+  * (Def. 14), stored in CSR (compressed sparse row) form:
+  *
+  *  - `keys`: every cell of the children, sorted and distinct;
+  *  - `offsets`: `keys(j)`'s posting run is `postings(offsets(j) until
+  *    offsets(j + 1))`, and `offsets.last == postings.length`;
+  *  - `postings`: positions into `children` (ascending within a run) of the
+  *    children holding each key.
+  *
+  * OverlapSearch merges a sorted query against `keys` once for the Lemma 2
+  * ub and the Lemma 3 lb (a run of length `children.length` is a cell every
+  * child holds), and once more to count each child's exact overlap.
+  * [[reindex]] rebuilds the three arrays from `children` in one k-way merge;
+  * DitsLocal calls it once per built leaf and once per Appendix C change.
   */
 final class Leaf(var rect: MBR, val capacity: Int) extends TreeNode {
   def isLeaf = true
   val children: mutable.ArrayBuffer[DatasetNode] = mutable.ArrayBuffer.empty
-  /** cell ID → ids (into `children` order is irrelevant; stores dataset ids). */
-  val inv: mutable.HashMap[Long, mutable.ArrayBuffer[Int]] = mutable.HashMap.empty
+  private[dits] var keys: Array[Long] = Array.emptyLongArray
+  private[dits] var offsets: Array[Int] = Array(0)
+  private[dits] var postings: Array[Int] = Array.emptyIntArray
 
-  def add(d: DatasetNode): Unit = {
+  /** Add a child without reindexing: the caller reindexes or splits next. */
+  private[dits] def attach(d: DatasetNode): Unit = {
     children += d
     d.parent = this
-    var i = 0
-    while (i < d.cells.length) {
-      inv.getOrElseUpdate(d.cells(i), mutable.ArrayBuffer.empty) += d.id
-      i += 1
-    }
   }
 
-  def remove(d: DatasetNode): Unit = {
-    val ix = children.indexWhere(_.id == d.id)
+  /** Remove a child without reindexing. */
+  private[dits] def detach(d: DatasetNode): Unit = {
+    val ix = children.indexWhere(_ eq d)
     require(ix >= 0, s"dataset ${d.id} not in leaf")
     children.remove(ix)
-    var i = 0
-    while (i < d.cells.length) {
-      val c = d.cells(i)
-      inv.get(c).foreach { pl =>
-        val j = pl.indexOf(d.id)
-        if (j >= 0) pl.remove(j)
-        if (pl.isEmpty) inv.remove(c)
+  }
+
+  /** Rebuild `keys`, `offsets` and `postings` from `children` by merging
+    * the children's sorted cell arrays.
+    */
+  private[dits] def reindex(): Unit = {
+    val f = children.length
+    val cells = Array.tabulate(f)(children(_).cells)
+    val at = new Array[Int](f)
+    val total = cells.foldLeft(0)(_ + _.length)
+    val ks = new Array[Long](total)
+    val offs = new Array[Int](total + 1)
+    val post = new Array[Int](total)
+    var nk = 0; var np = 0
+    var more = true
+    while (more) {
+      var min = 0L; more = false
+      var c = 0
+      while (c < f) {
+        if (at(c) < cells(c).length && (!more || cells(c)(at(c)) < min)) {
+          min = cells(c)(at(c)); more = true
+        }
+        c += 1
       }
-      i += 1
+      if (more) {
+        ks(nk) = min; offs(nk) = np; nk += 1
+        c = 0
+        while (c < f) {
+          if (at(c) < cells(c).length && cells(c)(at(c)) == min) {
+            post(np) = c; np += 1; at(c) += 1
+          }
+          c += 1
+        }
+      }
     }
+    offs(nk) = np
+    keys = java.util.Arrays.copyOf(ks, nk)
+    offsets = java.util.Arrays.copyOf(offs, nk + 1)
+    postings = post
   }
 }

@@ -15,9 +15,6 @@ final class SourceNode(val sourceId: Int, val grid: Grid,
     extends Serializable {
 
   val index: DitsLocal = DitsLocal.build(datasetsIn, capacity)
-  private val byId: Map[Int, Array[Long]] = datasetsIn.toMap
-
-  def cellsOf(id: Int): Array[Long] = byId(id)
 
   /** Root summary sent to the data center after index construction. */
   def summary: SourceSummary = SourceSummary.of(sourceId, index, grid)
@@ -54,15 +51,11 @@ final class SourceNode(val sourceId: Int, val grid: Grid,
       }
     }
     if (best == null) None
-    else Some((best.id, tau, best.cells.map(c => centreLonLat(best, c))))
+    else Some((best.id, tau, best.cells.map(centreLonLat)))
   }
 
   /** Lon/lat centre of one of this source's cells. */
-  private def centreLonLat(d: DatasetNode, c: Long): (Double, Double) = {
+  private def centreLonLat(c: Long): (Double, Double) = {
     val r = grid.cellRect(c); (r.pivot.x, r.pivot.y)
   }
-
-  /** Lon/lat centres of a dataset's cells (result shipping). */
-  def cellsLonLat(id: Int): Array[(Double, Double)] =
-    byId(id).map { c => val r = grid.cellRect(c); (r.pivot.x, r.pivot.y) }
 }

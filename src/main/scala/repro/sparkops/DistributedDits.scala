@@ -61,6 +61,7 @@ final class DistributedDits private (
     * merged set, and the driver merges the global best.
     */
   def coverageSearch(queryCells: Array[Long], delta: Double, k: Int): (Seq[(Int, Int)], Int) = {
+    if (queryCells.isEmpty) return (Seq.empty, 0)
     var covered = CellSet.of(queryCells)
     var picked = List.empty[(Int, Int)]
     var exhausted = false

@@ -107,6 +107,11 @@ class CoverageSearchSpec extends AnyFunSuite {
     assert(res.coverage == 1) // just the query cell
   }
 
+  test("empty query picks nothing with coverage 0") {
+    val ix = DitsLocal.build(randomDatasets(8, 20), 5)
+    assert(CoverageSearch.search(ix, Array.emptyLongArray, 3.0, 5) == CoverageResult(Seq.empty, 0))
+  }
+
   test("picked datasets are distinct and at most k") {
     val ds = randomDatasets(77, 30)
     val ix = DitsLocal.build(ds, 5)

@@ -35,7 +35,10 @@ class DitsLocalSpec extends AnyFunSuite {
       val rebuilt = leaf.children
         .flatMap(d => d.cells.map(c => c -> d.id))
         .groupBy(_._1).view.mapValues(_.map(_._2).sorted.toSeq).toMap
-      val actual = leaf.inv.map { case (c, pl) => c -> pl.sorted.toSeq }.toMap
+      val actual = leaf.keys.indices.map { j =>
+        leaf.keys(j) -> (leaf.offsets(j) until leaf.offsets(j + 1))
+          .map(p => leaf.children(leaf.postings(p)).id).sorted.toSeq
+      }.toMap
       assert(actual == rebuilt, "leaf inverted index out of sync with children")
     }
     // MBR containment along parent pointers and cell sets match.
@@ -116,6 +119,23 @@ class DitsLocalSpec extends AnyFunSuite {
   test("delete of unknown id throws") {
     val ix = DitsLocal.build(randomDatasets(0, 5), 4)
     intercept[NoSuchElementException](ix.delete(4242))
+  }
+
+  test("update of unknown id throws") {
+    val ix = DitsLocal.build(randomDatasets(0, 5), 4)
+    intercept[NoSuchElementException](ix.update(DatasetNode(4242, randomDatasets(1, 1).head._2)))
+    checkInvariants(ix, randomDatasets(0, 5).toMap)
+  }
+
+  test("insert of an indexed id throws and leaves the index unchanged") {
+    val ds = randomDatasets(2, 30)
+    val ix = DitsLocal.build(ds, 4)
+    val q = CellSet.of(ds(1)._2.take(1) ++ ds(3)._2.take(1))
+    val before = OverlapSearch.search(ix, q, 10)
+    intercept[IllegalArgumentException](ix.insert(DatasetNode(ds(1)._1, q)))
+    checkInvariants(ix, ds.toMap)
+    assert(ix.size == ds.length && ix.postingEntries == ds.map(_._2.length.toLong).sum)
+    assert(OverlapSearch.search(ix, q, 10) == before)
   }
 
   test("postingEntries equals total cells across datasets") {

@@ -120,4 +120,16 @@ class MultiSourceSpec extends AnyFunSuite {
   test("global index build requires at least one source") {
     intercept[IllegalArgumentException](DitsGlobal.build(Seq.empty))
   }
+
+  test("empty OJSP query returns no hits and ships nothing") {
+    val center = new DataCenter(mkSources()._1)
+    val (hits, comm) = center.overlapSearch(Array.empty, 5, Distribution.Clipped)
+    assert(hits.isEmpty && comm.total == 0L)
+  }
+
+  test("empty CJSP query picks nothing with coverage 0") {
+    val center = new DataCenter(mkSources()._1)
+    val (res, comm) = center.coverageSearch(Array.empty, 3.0, 5, Distribution.Clipped)
+    assert(res == MultiCoverage(Seq.empty, 0) && comm.total == 0L)
+  }
 }

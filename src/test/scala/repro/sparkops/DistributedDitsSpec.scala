@@ -74,4 +74,8 @@ class DistributedDitsSpec extends SparkSpec {
     val (hits, shipped) = dits.overlapTopK(q, 5)
     assert(hits.isEmpty && shipped == 0L)
   }
+
+  test("empty CJSP query picks nothing with coverage 0") {
+    assert(dits.coverageSearch(Array.emptyLongArray, 3.0, 5) == ((Seq.empty, 0)))
+  }
 }
