@@ -59,8 +59,9 @@ final class DitsLocal private (var root: TreeNode, val capacity: Int)
       n = if (d.pivot.dist(i.left.pivot) <= d.pivot.dist(i.right.pivot)) i.left else i.right
     }
     val leaf = n.asInstanceOf[Leaf]
+    // An emptied root leaf still holds its last dataset's rect.
+    leaf.rect = if (leaf.children.isEmpty) d.rect else leaf.rect.union(d.rect)
     leaf.attach(d)
-    leaf.rect = leaf.rect.union(d.rect)
     if (leaf.children.length > capacity) splitLeaf(leaf) else leaf.reindex()
     refreshUp(leaf.parent)
   }
@@ -92,7 +93,7 @@ final class DitsLocal private (var root: TreeNode, val capacity: Int)
 
   private def collapse(leaf: Leaf): Unit = {
     val p = leaf.parent
-    if (p == null) () // empty index keeps its (now stale) empty root leaf
+    if (p == null) () // an emptied index keeps its root leaf; insert resets its rect
     else {
       val sibling = if (p.left eq leaf) p.right else p.left
       replaceChild(p, sibling)

@@ -1,7 +1,9 @@
 package repro.core.dits
 
+import java.util.concurrent.{Callable, ForkJoinPool}
 import repro.core.CellSet
 import scala.collection.mutable
+import scala.reflect.ClassTag
 
 /** OJSP result entry: dataset id and its exact `|S_Q ∩ S_D|`. */
 final case class OverlapHit(id: Int, overlap: Int)
@@ -26,7 +28,23 @@ final case class OverlapHit(id: Int, overlap: Int)
   * order (a sort of packed `ub << 32 | index` longs), which tightens the
   * top-k heap early; verification stops at the first leaf whose ub is
   * below the current k-th best. Verifying a leaf repeats the merge and adds
-  * each shared key's posting run into a reused `Int` counter per child.
+  * each shared key's posting run into an `Int` counter per child.
+  *
+  * Both per-leaf stages run as a few tasks on `ForkJoinPool.commonPool()`
+  * when they have enough leaves (see [[inTasks]]); the calling thread runs
+  * task 0. The filter splits the MBR-hit leaves by stride, each task
+  * writing its leaves' bounds into a shared array by leaf position; the
+  * lb ranking, the prune and the sort then run on the calling thread.
+  * In verification, task `t` of `T` takes the candidates at ranks
+  * `t, t + T, …` of the descending-ub order, with its own counters and its
+  * own top-k heap, and stops at its first leaf whose ub is below its own
+  * heap's k-th best. That local stop is exact: ids are unique, so a hit in
+  * the global top-k is also in the top-k of the task that verified its
+  * leaf, and a task's k-th best is never above the global one, so a task
+  * skips a leaf only when k of its own hits already beat every child of it.
+  * The tasks' heaps are then offered into one, which ranks exactly as a
+  * single heap would. The search keeps no state between calls, so
+  * concurrent searches on one index are safe as long as it is not updated.
   */
 object OverlapSearch {
 
@@ -110,26 +128,27 @@ object OverlapSearch {
     val qRect = CellSet.mbr(queryCells)
 
     // ---- Filter: bounds of every leaf the query MBR hits. ---------------
-    val leaves = mutable.ArrayBuffer.empty[Leaf]
-    val bounds = mutable.ArrayBuilder.make[Long] // ub << 32 | lb per leaf
-    val lbRuns = mutable.ArrayBuilder.make[Long] // lb << 32 | children
+    val hit = mutable.ArrayBuffer.empty[Leaf]
     def descend(n: TreeNode): Unit = n match {
-      case l: Leaf =>
-        if (l.rect.intersects(qRect)) {
-          val b = merge(l, queryCells, null)
-          if (b != 0L) {
-            leaves += l
-            bounds += b
-            val lb = b.toInt
-            if (lb > 0) lbRuns += (lb.toLong << 32) | l.children.length
-          }
-        }
-      case i: Internal =>
-        if (i.rect.intersects(qRect)) { descend(i.left); descend(i.right) }
+      case l: Leaf     => if (l.rect.intersects(qRect)) hit += l
+      case i: Internal => if (i.rect.intersects(qRect)) { descend(i.left); descend(i.right) }
     }
     descend(index.root)
+    val leaves = hit.toArray
+    val bounds = new Array[Long](leaves.length) // ub << 32 | lb per leaf
+    inTasks(leaves.length) { (t, tasks) =>
+      var l = t
+      while (l < leaves.length) { bounds(l) = merge(leaves(l), queryCells, null); l += tasks }
+    }
 
     // k-th largest lb, each leaf's lb counted once per child.
+    val lbRuns = mutable.ArrayBuilder.make[Long] // lb << 32 | children
+    var c = 0
+    while (c < leaves.length) {
+      val lb = bounds(c).toInt
+      if (lb > 0) lbRuns += (lb.toLong << 32) | leaves(c).children.length
+      c += 1
+    }
     val lbs = lbRuns.result()
     java.util.Arrays.sort(lbs)
     var kthLb = 0
@@ -142,35 +161,65 @@ object OverlapSearch {
     }
 
     // Alg. 2's filter-stage prune, then descending-ub order.
-    val bs = bounds.result()
     val order = mutable.ArrayBuilder.make[Long]
-    var c = 0
-    while (c < bs.length) {
-      val ub = (bs(c) >>> 32).toInt
-      if (ub >= kthLb) order += (ub.toLong << 32) | c
+    c = 0
+    while (c < leaves.length) {
+      val ub = (bounds(c) >>> 32).toInt
+      if (ub > 0 && ub >= kthLb) order += (ub.toLong << 32) | c
       c += 1
     }
     val byUb = order.result()
     java.util.Arrays.sort(byUb)
 
-    // ---- Verification in descending-ub order with a top-k min-heap. -----
-    val top = new TopK(k)
-    val counts = new Array[Int](index.capacity) // a leaf holds ≤ f children
-    c = byUb.length - 1
-    while (c >= 0 && !(top.full && (byUb(c) >>> 32).toInt < top.kth)) { // Alg. 2 line 19
-      val leaf = leaves(byUb(c).toInt)
-      merge(leaf, queryCells, counts)
-      var ch = 0
-      while (ch < leaf.children.length) {
-        if (counts(ch) > 0) {
-          top.offer(counts(ch), leaf.children(ch).id)
-          counts(ch) = 0
+    // ---- Verification in descending-ub order, one top-k heap per task. --
+    val tops = inTasks(byUb.length) { (t, tasks) =>
+      val top = new TopK(k)
+      val counts = new Array[Int](index.capacity) // a leaf holds ≤ f children
+      var b = byUb.length - 1 - t
+      while (b >= 0 && !(top.full && (byUb(b) >>> 32).toInt < top.kth)) { // Alg. 2 line 19
+        val leaf = leaves(byUb(b).toInt)
+        merge(leaf, queryCells, counts)
+        var ch = 0
+        while (ch < leaf.children.length) {
+          if (counts(ch) > 0) {
+            top.offer(counts(ch), leaf.children(ch).id)
+            counts(ch) = 0
+          }
+          ch += 1
         }
-        ch += 1
+        b -= tasks
       }
-      c -= 1
+      top
     }
+    val top = tops(0)
+    tops.iterator.drop(1).foreach(top.offerAll)
     top.result
+  }
+
+  /** Fewest leaves a task of [[inTasks]] is given: a filter merge costs a
+    * few µs, so a task holds tens of µs of work, well above a fork's cost.
+    */
+  private val MinLeavesPerTask = 24
+
+  /** Runs `body(t, tasks)` for each task `t` of `tasks`, where `tasks` is
+    * `min(common pool parallelism + 1, n / MinLeavesPerTask)`, at least 1.
+    * Task 0 runs on the calling thread, the others on
+    * `ForkJoinPool.commonPool()`; returns the tasks' results by task.
+    */
+  private def inTasks[A: ClassTag](n: Int)(body: (Int, Int) => A): Array[A] = {
+    val tasks = math.max(1, math.min(ForkJoinPool.getCommonPoolParallelism + 1, n / MinLeavesPerTask))
+    val out = new Array[A](tasks)
+    if (tasks == 1) out(0) = body(0, 1)
+    else {
+      val pool = ForkJoinPool.commonPool()
+      val forked = Array.tabulate(tasks - 1) { i =>
+        pool.submit(new Callable[A] { def call(): A = body(i + 1, tasks) })
+      }
+      out(0) = body(0, tasks)
+      var i = forked.length - 1
+      while (i >= 0) { out(i + 1) = forked(i).join(); i -= 1 }
+    }
+    out
   }
 
   /** The k best hits so far, as a binary min-heap of packed longs whose
@@ -188,8 +237,15 @@ object OverlapSearch {
     /** Overlap of the weakest hit kept (meaningful once `full`). */
     def kth: Int = (heap(0) >>> 32).toInt
 
-    def offer(overlap: Int, id: Int): Unit = {
-      val h = pack(overlap, id)
+    def offer(overlap: Int, id: Int): Unit = offerPacked(pack(overlap, id))
+
+    /** Offers every hit `other` keeps. */
+    def offerAll(other: TopK): Unit = {
+      var i = 0
+      while (i < other.size) { offerPacked(other.heap(i)); i += 1 }
+    }
+
+    private def offerPacked(h: Long): Unit = {
       if (size < k) {
         if (size == heap.length) heap = java.util.Arrays.copyOf(heap, 2 * size)
         var i = size

@@ -53,6 +53,7 @@ final class DistributedDits private (
         else OverlapSearch.search(ix, q, k).iterator.map(h => (s, h.id, h.overlap))
       }
       .collect()
+    bc.destroy()
     (hits.sortBy { case (s, id, ov) => (-ov, s, id) }.take(k).toSeq, shipped)
   }
 
@@ -70,17 +71,16 @@ final class DistributedDits private (
       val mRect = CellSet.mbr(covered)
       val qRect = grid.cellSpaceToLonLat(mRect)
       val cands = global.coverageCandidates(qRect, delta).map(_.sourceId).toSet
-      val bcCovered = indexes.sparkContext.broadcast(covered)
-      val bcPicked = indexes.sparkContext.broadcast(picked.toSet)
-      val best = indexes
+      val bc = indexes.sparkContext.broadcast((covered, picked.toSet))
+      val found = indexes
         .filter { case (s, _) => cands.contains(s) }
         .flatMap { case (s, ix) =>
-          val cov = bcCovered.value
+          val (cov, pickedSet) = bc.value
           val out = scala.collection.mutable.ArrayBuffer.empty[DatasetNode]
           CoverageSearch.findConnected(ix.root, CellSet.mbr(cov), cov, delta, out)
           var tau = -1; var bid = -1; var bcells: Array[Long] = null
           out.sortBy(_.id).foreach { d =>
-            if (!bcPicked.value.contains((s, d.id)) && d.cells.length > tau) {
+            if (!pickedSet.contains((s, d.id)) && d.cells.length > tau) {
               val g = CellSet.marginalGain(d.cells, cov)
               if (g > tau) { tau = g; bid = d.id; bcells = d.cells }
             }
@@ -88,8 +88,8 @@ final class DistributedDits private (
           if (bid < 0) Iterator.empty else Iterator.single((s, bid, tau, bcells))
         }
         .collect()
-        .sortBy { case (s, id, g, _) => (-g, s, id) }
-        .headOption
+      bc.destroy()
+      val best = found.sortBy { case (s, id, g, _) => (-g, s, id) }.headOption
       best match {
         case Some((s, id, _, cells)) =>
           picked = picked :+ ((s, id))

@@ -2,6 +2,7 @@ package repro.core.dits
 
 import org.scalatest.funsuite.AnyFunSuite
 import repro.core.{CellSet, Grid, SynthSpatial}
+import repro.core.baselines.BruteForce
 import scala.util.Random
 
 /** Structural invariants of the DITS-L construction (Algorithm 1) and the
@@ -136,6 +137,21 @@ class DitsLocalSpec extends AnyFunSuite {
     checkInvariants(ix, ds.toMap)
     assert(ix.size == ds.length && ix.postingEntries == ds.map(_._2.length.toLong).sum)
     assert(OverlapSearch.search(ix, q, 10) == before)
+  }
+
+  test("an emptied index takes the next inserted dataset's MBR") {
+    val ds = randomDatasets(5, 30)
+    val ix = DitsLocal.build(ds, 4)
+    ds.foreach { case (id, _) => ix.delete(id) }
+    assert(ix.size == 0 && ix.root.isLeaf)
+    // Far from every deleted dataset, so a kept old extent would show.
+    val cells = CellSet.of(Seq(Grid.interleave(200, 210), Grid.interleave(203, 212)))
+    val d = DatasetNode(99, cells)
+    ix.insert(d)
+    assert(ix.root.rect == d.rect)
+    checkInvariants(ix, Map(99 -> cells))
+    for (q <- Seq(cells, CellSet.of(cells.take(1) ++ ds.head._2)); k <- Seq(1, 5))
+      assert(OverlapSearch.search(ix, q, k) == BruteForce.overlapTopK(Seq(99 -> cells), q, k))
   }
 
   test("postingEntries equals total cells across datasets") {

@@ -1,8 +1,10 @@
 package repro.core.dits
 
+import java.util.concurrent.{Callable, CountDownLatch, Executors, TimeUnit}
 import org.scalatest.funsuite.AnyFunSuite
 import repro.core.{CellSet, Grid, SynthSpatial}
 import repro.core.baselines.BruteForce
+import scala.collection.mutable
 import scala.util.Random
 
 /** OverlapSearch (Algorithm 2) returns exactly the brute-force OJSP
@@ -89,5 +91,58 @@ class OverlapSearchSpec extends AnyFunSuite {
     val ds = randomDatasets(8, 5)
     val ix = DitsLocal.build(ds, 4)
     intercept[IllegalArgumentException](OverlapSearch.search(ix, ds.head._2, 0))
+  }
+
+  // Large enough that each query's MBR hits hundreds of leaves, so both
+  // stages of the search run as several fork-join tasks.
+  test("matches brute force when split across tasks, also from 4 threads at once") {
+    val rnd = new Random(17)
+    val span = 128
+    val ds = mutable.ArrayBuffer.empty[(Int, Array[Long])]
+    for (id <- 0 until 3000) {
+      // One dataset in four is a clone, so the k-th overlap is often tied.
+      val cells =
+        if (id > 0 && rnd.nextInt(4) == 0) ds(rnd.nextInt(ds.length))._2
+        else {
+          val cx = rnd.nextInt(span); val cy = rnd.nextInt(span)
+          CellSet.of(Array.fill(1 + rnd.nextInt(8)) {
+            Grid.interleave(math.min(span - 1, math.max(0, cx + rnd.nextInt(5) - 2)),
+                            math.min(span - 1, math.max(0, cy + rnd.nextInt(5) - 2)))
+          })
+        }
+      ds += id -> cells
+    }
+    val ix = DitsLocal.build(ds, 4)
+    val block = CellSet.of(Array.fill(2500)(Grid.interleave(16 + rnd.nextInt(96), 16 + rnd.nextInt(96))))
+    val unions = Seq.fill(3)(CellSet.of(Array.fill(60)(ds(rnd.nextInt(ds.length))._2).flatten))
+    val queries = block +: unions
+    val leaves = DitsLocal.leaves(ix.root)
+    for (q <- queries) {
+      val hit = leaves.filter(_.rect.intersects(CellSet.mbr(q)))
+      assert(hit.length > 200, s"query MBR hits only ${hit.length} leaves")
+      assert(hit.count(OverlapSearch.upperBound(_, q) > 0) > 100)
+    }
+
+    val ks = Seq(1, 10, 100, ds.length + 5)
+    val expected = for (q <- queries; k <- ks) yield BruteForce.overlapTopK(ds, q, k)
+    val tiedAtK = for (q <- queries; k <- ks.init) yield {
+      val exp = BruteForce.overlapTopK(ds, q, k + 1)
+      exp.length > k && exp(k).overlap == exp(k - 1).overlap
+    }
+    assert(tiedAtK.count(identity) >= 2, "too few queries tie at the k-th overlap")
+    assert((for (q <- queries; k <- ks) yield OverlapSearch.search(ix, q, k)) == expected)
+
+    val threads = Executors.newFixedThreadPool(4)
+    try {
+      val start = new CountDownLatch(1)
+      val runs = Seq.fill(4)(threads.submit(new Callable[Seq[Seq[OverlapHit]]] {
+        def call(): Seq[Seq[OverlapHit]] = {
+          start.await()
+          Seq.fill(5)(for (q <- queries; k <- ks) yield OverlapSearch.search(ix, q, k)).flatten
+        }
+      }))
+      start.countDown()
+      runs.foreach(r => assert(r.get(60, TimeUnit.SECONDS) == Seq.fill(5)(expected).flatten))
+    } finally threads.shutdownNow()
   }
 }
